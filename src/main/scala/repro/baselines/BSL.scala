@@ -6,6 +6,7 @@ import org.apache.spark.sql.functions._
 import repro.core.{Evaluation, Scores, UniqueMappingClustering}
 import repro.kb.{KBModel, Tokenizer}
 import repro.blocking.TokenBlocking
+import repro.graph.ValueSimilarity
 
 /** BSL — the paper's heavily fine-tuned value-only baseline (§6,
   * “Baselines”).
@@ -64,17 +65,16 @@ object BSL {
   }
 
   /** Candidate pairs of the unpruned disjunctive blocking graph: every pair
-    * co-occurring in a (purged) token block or sharing a name. Neighbor-only
-    * pairs have zero value similarity and can never win UMC at a positive
-    * threshold, so they are omitted (documented deviation).
+    * co-occurring in a (purged) token block or sharing a name. The token
+    * pairs are the β pairs of [[repro.graph.ValueSimilarity.betaPairs]]
+    * without their weights. Neighbor-only pairs have zero value similarity
+    * and can never win UMC at a positive threshold, so they are omitted
+    * (documented deviation).
     */
   def candidatePairs(et1: DataFrame, et2: DataFrame,
                      names1: DataFrame, names2: DataFrame): DataFrame = {
     val (blocks, _) = TokenBlocking.purgedSharedBlocks(et1, et2)
-    val tokenPairs = et1.select(col("entity") as "e1", col("token"))
-      .join(blocks.select("token"), "token")
-      .join(et2.select(col("entity") as "e2", col("token")), "token")
-      .select("e1", "e2")
+    val tokenPairs = ValueSimilarity.betaPairs(et1, et2, blocks).select("e1", "e2")
     val sharedNames = names1.select(col("entity") as "e1", col("name"))
       .join(names2.select(col("entity") as "e2", col("name")), "name")
       .select("e1", "e2")

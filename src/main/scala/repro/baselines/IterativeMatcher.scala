@@ -6,6 +6,7 @@ import org.apache.spark.sql.functions._
 import repro.core.UniqueMappingClustering
 import repro.kb.{KBModel, NameDiscovery, Tokenizer}
 import repro.blocking.TokenBlocking
+import repro.graph.ValueSimilarity
 
 import scala.collection.mutable
 
@@ -57,8 +58,9 @@ object IterativeMatcher {
   }
 
   /** Candidate value scores: normalized SiGMa-style TF-IDF similarity over
-    * unigram tokens, restricted to purged token-block pairs.
-    * Output: (e1, e2, score ∈ [0, 1]).
+    * unigram tokens, restricted to the pairs that share a purged token
+    * block — the β pairs of [[repro.graph.ValueSimilarity.betaPairs]]
+    * without their weights. Output: (e1, e2, score ∈ [0, 1]).
     */
   def valueScores(kb1: DataFrame, kb2: DataFrame): DataFrame = {
     val g1 = BSL.ngrams(kb1, 1)
@@ -66,10 +68,7 @@ object IterativeMatcher {
     val et1 = Tokenizer.entityTokens(kb1)
     val et2 = Tokenizer.entityTokens(kb2)
     val (blocks, _) = TokenBlocking.purgedSharedBlocks(et1, et2)
-    val pairs = et1.select(col("entity") as "e1", col("token"))
-      .join(blocks.select("token"), "token")
-      .join(et2.select(col("entity") as "e2", col("token")), "token")
-      .select("e1", "e2").distinct()
+    val pairs = ValueSimilarity.betaPairs(et1, et2, blocks).select("e1", "e2")
     BSL.pairSimilarities(g1, g2, pairs, BSL.TFIDF)
       .select(col("e1"), col("e2"), col("sigma") as "score")
       .filter(col("score") > 0)

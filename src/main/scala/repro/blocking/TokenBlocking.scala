@@ -3,18 +3,21 @@ package repro.blocking
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
-/** Token blocking h_T (paper §3.1) with comparison-based Block Purging.
+/** Token blocking h_T (paper §3.1) with Block Purging.
   *
   * A token block exists for every token shared by the two KBs; its
   * comparison cardinality in clean-clean ER is EF1(t)·EF2(t). Excessively
-  * large blocks (stop-words) are discarded by the Block Purging criterion
-  * of Papadakis et al. (TKDE 2013), as adopted by the paper via
-  * Meta-blocking [27]: walking the distinct block cardinalities in
-  * ascending order, stop at the first cardinality where cumulative
-  * comparisons grow proportionally faster than cumulative block
-  * assignments, and purge all blocks above the previous cardinality.
+  * large blocks (stop-words) are discarded by an iterated-mean rule (see
+  * [[TokenBlocking.purgeMaxComparisons]]): a block is purged when its
+  * cardinality exceeds `PurgeFactor` times the mean cardinality of the
+  * blocks kept so far, repeated to a fixpoint. This has the intent of the
+  * comparison-based Block Purging of Papadakis et al. (TKDE 2013) that the
+  * paper adopts via Meta-blocking [27], but is not that criterion.
   */
 object TokenBlocking {
+
+  /** A block is purged above this multiple of the mean kept cardinality. */
+  private val PurgeFactor = 10.0
 
   /** Purging outcome for reporting. */
   final case class PurgeStats(maxComparisons: Long, keptBlocks: Long, purgedBlocks: Long)
@@ -34,17 +37,15 @@ object TokenBlocking {
 
   /** The Block Purging cardinality threshold.
     *
-    * Robust iterated-mean criterion with the same intent as the
-    * comparison-based Block Purging the paper adopts via [26, 27]: a
-    * stop-word block suggests orders of magnitude more comparisons than the
-    * typical content-token block, so we repeatedly drop blocks whose
-    * comparison cardinality exceeds `factor ×` the mean cardinality of the
-    * retained blocks, until a fixpoint. Uniform distributions are left
-    * untouched (threshold ≥ factor × mean); heavy tails are cut at the
-    * stop-word knee. Distinct cardinalities are few, so the aggregates are
-    * collected to the driver.
+    * A stop-word block suggests orders of magnitude more comparisons than
+    * the typical content-token block, so we repeatedly drop blocks whose
+    * comparison cardinality exceeds `PurgeFactor ×` the mean cardinality of
+    * the retained blocks, until a fixpoint (at most 20 rounds). Uniform
+    * distributions are left untouched (threshold ≥ PurgeFactor × mean);
+    * heavy tails are cut at the stop-word knee. Distinct cardinalities are
+    * few, so the aggregates are collected to the driver.
     */
-  def purgeMaxComparisons(blocks: DataFrame, factor: Double = 10.0): Long = {
+  def purgeMaxComparisons(blocks: DataFrame): Long = {
     val byCard = blocks
       .groupBy("comparisons")
       .agg(count(lit(1)) as "nblocks")
@@ -59,7 +60,7 @@ object TokenBlocking {
       val kept = byCard.filter(_._1 <= threshold)
       val nBlocks = kept.map(_._2).sum
       val totalComp = kept.map { case (c, n) => c.toDouble * n }.sum
-      val next = math.max(factor, factor * totalComp / math.max(1L, nBlocks)).toLong
+      val next = math.max(PurgeFactor, PurgeFactor * totalComp / math.max(1L, nBlocks)).toLong
       changed = next < threshold
       threshold = if (changed) next else threshold
       iter += 1
@@ -68,9 +69,9 @@ object TokenBlocking {
   }
 
   /** Apply Block Purging; returns the retained (cached) blocks plus stats. */
-  def purgedBlocks(blocksIn: DataFrame, factor: Double = 10.0): (DataFrame, PurgeStats) = {
+  def purgedBlocks(blocksIn: DataFrame): (DataFrame, PurgeStats) = {
     val blocks = blocksIn.cache()
-    val maxC = purgeMaxComparisons(blocks, factor)
+    val maxC = purgeMaxComparisons(blocks)
     val kept = blocks.filter(col("comparisons") <= maxC).cache()
     val total = blocks.count()
     val keptN = kept.count()

@@ -37,10 +37,6 @@ final case class DisjunctiveBlockingGraph(
       .distinct()
   }
 
-  def cache(): DisjunctiveBlockingGraph = {
-    alphaEdges.cache(); valueEdges.cache(); neighborEdges.cache(); this
-  }
-
   /** Materialize the three edge frames and truncate their lineage
     * (eager localCheckpoint). The graph construction plan is deep (token
     * explosion → purging → three-way join → windows → γ propagation →
@@ -52,10 +48,6 @@ final case class DisjunctiveBlockingGraph(
       alphaEdges.localCheckpoint(true),
       valueEdges.localCheckpoint(true),
       neighborEdges.localCheckpoint(true))
-
-  def unpersist(): Unit = {
-    alphaEdges.unpersist(); valueEdges.unpersist(); neighborEdges.unpersist()
-  }
 }
 
 object BlockingGraph {
@@ -97,8 +89,7 @@ object BlockingGraph {
     val et2 = Tokenizer.entityTokens(kb2).cache()
     val (blocks, _) = TokenBlocking.purgedSharedBlocks(et1, et2)
     val beta = ValueSimilarity.betaPairs(et1, et2, blocks)
-    val valueEdges = topKDirected(beta, "beta", cfg.bigK)
-      .withColumnRenamed("beta", "beta").cache()
+    val valueEdges = topKDirected(beta, "beta", cfg.bigK).cache()
 
     // ---- Neighbor evidence (Alg 1 lines 20-33) ----
     // Undirected retained β pairs: union of both directions, deduplicated,

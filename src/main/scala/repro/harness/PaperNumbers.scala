@@ -1,7 +1,7 @@
 package repro.harness
 
 /** The paper's published numbers (Tables 1–4), keyed by the analogue
-  * profile name, for side-by-side reporting in benches and EXPERIMENTS.md.
+  * profile name, for side-by-side reporting in the bench output.
   * Triples are (precision, recall, f1) in percent; None = not reported.
   */
 object PaperNumbers {

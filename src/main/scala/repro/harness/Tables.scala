@@ -4,13 +4,14 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 
 import repro.blocking.{BlockStatistics, BlockStats, NameBlocking, TokenBlocking}
 import repro.core._
-import repro.data.{DatasetProfile, KBProfile, WebKBGen}
+import repro.data.{KBProfile, WebKBGen}
 import repro.kb.{KBModel, KBStatistics, KBStats, NameDiscovery, Tokenizer}
 import repro.baselines._
 
 /** Builds the paper's evaluation tables (paper numbers vs measured) over
   * the synthetic dataset analogues. Shared by the `jobs/` entrypoints and
-  * the `bench/` suites; `EXPERIMENTS.md` records the rendered output.
+  * the `bench/` suites, which print the rendered tables; the timed
+  * benchmark and its recorded figures are in `perfbench/README.md`.
   */
 object Tables {
 

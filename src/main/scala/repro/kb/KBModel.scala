@@ -49,8 +49,4 @@ object KBModel {
   /** `relations(e)` of the paper: distinct (entity, pred) with entity objects. */
   def entityRelations(kb: DataFrame): DataFrame =
     relationTriples(kb).select(col("subj") as "entity", col("pred")).distinct()
-
-  /** `neighbors(e)` of the paper: distinct (entity, neighbor) pairs. */
-  def entityNeighbors(kb: DataFrame): DataFrame =
-    relationTriples(kb).select(col("subj") as "entity", col("objId") as "neighbor").distinct()
 }

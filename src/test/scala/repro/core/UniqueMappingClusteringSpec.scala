@@ -77,11 +77,14 @@ class UniqueMappingClusteringSpec extends SparkSpec {
     assert(c.map(p => (p._1, p._2)) === Seq((2L, 102L)))
   }
 
-  test("clusterDf returns a DataFrame of matches") {
+  test("collectCandidatesMulti on one score column equals collectCandidates") {
     import spark.implicits._
-    val scored = Seq((1L, 101L, 0.9), (2L, 101L, 0.8)).toDF("e1", "e2", "score")
-    val m = UniqueMappingClustering.clusterDf(spark, scored, 0.1).collect()
-      .map(r => (r.getLong(0), r.getLong(1))).toSet
-    assert(m === Set((1L, 101L)))
+    val scored = (1 to 100).map(i => (1L, 100L + i, i / 100.0)).toDF("e1", "e2", "score")
+    val multi = UniqueMappingClustering.collectCandidatesMulti(scored, Seq("score"), 10)
+      .map { case (a, b, ws) => (a, b, ws.toSeq) }
+    val single = UniqueMappingClustering.collectCandidates(scored, 10)
+      .map { case (a, b, s) => (a, b, Seq(s)) }
+    assert(multi.size === single.size)
+    assert(multi.toSet === single.toSet)
   }
 }

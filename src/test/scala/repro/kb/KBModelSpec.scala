@@ -32,15 +32,6 @@ class KBModelSpec extends SparkSpec {
       (TestKBs.Restaurant1, "inCountry")))
   }
 
-  test("entityNeighbors matches the paper's neighbors(e) example") {
-    val nb = KBModel.entityNeighbors(kb1).collect()
-      .map(r => (r.getLong(0), r.getLong(1))).toSet
-    assert(nb === Set(
-      (TestKBs.Restaurant1, TestKBs.JohnLakeA),
-      (TestKBs.Restaurant1, TestKBs.Bray),
-      (TestKBs.Restaurant1, TestKBs.UK)))
-  }
-
   test("fromRows round-trips objId nullability") {
     val kb = KBModel.fromRows(spark, Seq(
       (1L, "p", "v", None), (1L, "r", "ref:2", Some(2L))))
